@@ -9,6 +9,7 @@ package aum
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"aum/internal/llm"
@@ -83,15 +84,21 @@ func (c ffCase) build(t *testing.T, seed uint64) (*machine.Machine, []*workload.
 // machine advanced by StepN in random chunk sizes against a twin
 // advanced one Step at a time. Mid-run intensity and phase mutations
 // exercise capture invalidation; comparisons are exact to the bit.
+// The last case serves only and is never fed, so both workers stay
+// starved and every replayed step skips its zero increments (spin).
 func TestStepNEquivalenceProperty(t *testing.T) {
 	prev := machine.FastForward()
 	machine.SetFastForward(true)
 	defer machine.SetFastForward(prev)
 
 	const dt = 1e-3
-	for seed := int64(1); seed <= 12; seed++ {
+	const starvedSeed = 13
+	for seed := int64(1); seed <= starvedSeed; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		c := newFFCase(r)
+		if seed == starvedSeed {
+			c = ffCase{plat: platform.GenA(), serving: true}
+		}
 		seq, seqApps := c.build(t, uint64(seed))
 		ff, ffApps := c.build(t, uint64(seed))
 
@@ -137,14 +144,35 @@ func TestStepNEquivalenceProperty(t *testing.T) {
 				if !ok1 {
 					break
 				}
-				if ss != fs {
-					t.Fatalf("seed %d chunk %d (k=%d): task %d stats diverged (ffsteps=%d):\nseq: %+v\nff:  %+v",
-						seed, chunk, k, id, ff.FFSteps(), ss, fs)
+				if d := statsBitsDiff(reflect.ValueOf(ss), reflect.ValueOf(fs), "TaskStats"); d != "" {
+					t.Fatalf("seed %d chunk %d (k=%d): task %d %s diverged (ffsteps=%d):\nseq: %+v\nff:  %+v",
+						seed, chunk, k, id, d, ff.FFSteps(), ss, fs)
 				}
 			}
+		}
+		if ff.FFSteps() == 0 && seed == starvedSeed {
+			t.Fatal("starved serving case: no steps replayed")
 		}
 		if ff.FFSteps() == 0 && !c.serving {
 			t.Logf("seed %d: no steps replayed (bursty mix) — equivalence still holds", seed)
 		}
 	}
+}
+
+// statsBitsDiff returns the path of the first float64 field whose bit
+// patterns differ between a and b (so +0 and -0 differ), or "". It
+// walks every field of TaskStats, Breakdown included.
+func statsBitsDiff(a, b reflect.Value, path string) string {
+	if a.Kind() == reflect.Float64 {
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return path
+		}
+		return ""
+	}
+	for i := 0; i < a.NumField(); i++ {
+		if d := statsBitsDiff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); d != "" {
+			return d
+		}
+	}
+	return ""
 }

@@ -18,7 +18,6 @@ import (
 	"aum/internal/colo"
 	"aum/internal/machine"
 	"aum/internal/metrics"
-	"aum/internal/perfmon"
 	"aum/internal/rdt"
 	"aum/internal/reqtrace"
 	"aum/internal/rng"
@@ -86,18 +85,13 @@ func newSession(cfg Config) (*session, error) {
 		scen := classes[classOf[i]]
 		m := machine.New(spec.Plat)
 		// Archetype mode leaves machines bare: a per-machine telemetry
-		// scope or perfmon sampler would pin every machine to the exact
-		// per-tick path (machine.CoarseReady refuses observed machines),
-		// defeating the memoization — and at 100k machines the scopes
-		// alone dominate memory.
-		var mon *perfmon.Monitor
+		// scope would pin every machine to the exact per-tick path
+		// (machine.CoarseReady refuses observed machines), defeating
+		// the memoization — and at 100k machines the scopes alone
+		// dominate memory.
 		var scope *telemetry.Registry
-		if !cfg.Archetypes {
-			mon = perfmon.NewMonitor(256)
-			mon.Attach(m)
-			if cfg.Telemetry != nil {
-				scope = cfg.Telemetry.Child(fmt.Sprintf("m%02d", i))
-			}
+		if !cfg.Archetypes && cfg.Telemetry != nil {
+			scope = cfg.Telemetry.Child(fmt.Sprintf("m%02d", i))
 		}
 		m.SetTelemetry(scope)
 		n := &node{name: fmt.Sprintf("%s-%d", spec.Plat.Name, i), spec: spec, class: classOf[i]}
@@ -110,7 +104,7 @@ func newSession(cfg Config) (*session, error) {
 		}
 		env := &colo.Env{
 			Plat: spec.Plat, M: m, RDT: rdt.New(m),
-			Engine: serve.NewEngine(engCfg), Scen: scen, Mon: mon,
+			Engine: serve.NewEngine(engCfg), Scen: scen,
 		}
 		env.RDT.SetTelemetry(scope)
 		if cfg.BE != nil {
@@ -502,7 +496,7 @@ func (s *session) finishAt(endS float64) (Result, error) {
 	for _, n := range nodes {
 		ttfts = append(ttfts, n.env.Engine.Stats().RecentTTFTs()...)
 	}
-	res.TTFTp99 = perfmon.Percentile(ttfts, 99)
+	res.TTFTp99 = metrics.Percentile(ttfts, 99)
 	if s.fe != nil {
 		res.Crashes = s.fe.crashes
 		res.Outages = s.fe.outages

@@ -65,6 +65,10 @@ type taskInc struct {
 	avxBusyInc float64 // u.AVXBusy * dt
 	energyInc  float64 // eff * CoreWatts(...) * dt
 	breakdown  topdown.Breakdown
+	// spin marks a step whose work, flop, traffic, busy and breakdown
+	// increments are all zero (a starved serving worker): replay adds
+	// only time, frequency, utilization and energy.
+	spin bool
 }
 
 // stepCapture records everything a full Step produced that a replayed
@@ -87,9 +91,6 @@ type stepCapture struct {
 	stepped []bool
 	quiesce []Quiescer
 	inc     []taskInc
-
-	sample    Sample // prebuilt; only Now changes per replayed step
-	hasSample bool
 }
 
 // invalidateFF drops the step capture. Every machine-API mutation that
@@ -133,7 +134,10 @@ func (m *Machine) canReplay(dt float64) bool {
 }
 
 // replayStep advances one tick from the capture: identical accumulator
-// additions, identical telemetry recording, identical sampler delivery.
+// additions and identical telemetry recording. A spin task (taskInc.spin)
+// adds only its nonzero increments: every accumulator starts at +0 and
+// a round-to-nearest sum is -0 only when both operands are -0, so no
+// accumulator is ever -0, and x + ±0 == x bit for bit for any such x.
 func (m *Machine) replayStep(dt float64) {
 	c := &m.ff
 	m.ffSteps++
@@ -151,16 +155,19 @@ func (m *Machine) replayStep(dt float64) {
 		inc := &c.inc[i]
 		st := &t.stats
 		st.TimeS += dt
+		st.FreqIntegral += inc.freqInc
+		st.UtilIntegral += inc.utilInc
+		st.EnergyJ += inc.energyInc
+		if inc.spin {
+			continue
+		}
 		st.Work += inc.work
 		st.Flops += inc.flops
 		st.AMXFlops += inc.amxFlops
 		st.AVXFlops += inc.avxFlops
 		st.DRAMBytes += inc.dramBytes
-		st.FreqIntegral += inc.freqInc
-		st.UtilIntegral += inc.utilInc
 		st.AMXBusyInt += inc.amxBusyInc
 		st.AVXBusyInt += inc.avxBusyInc
-		st.EnergyJ += inc.energyInc
 		st.Breakdown.Weighted(inc.breakdown, dt)
 	}
 	m.lastWatts = c.watts
@@ -173,11 +180,6 @@ func (m *Machine) replayStep(dt float64) {
 		// untouched during replay.
 		m.tel.record(m, c.sol, c.cosGrants, c.linkUtil, m.scratch.demands, m.scratch.regionOf)
 		m.tel.ffSteps.Inc()
-	}
-	if c.hasSample {
-		s := c.sample
-		s.Now = m.now
-		m.sampler(s)
 	}
 }
 
@@ -234,7 +236,7 @@ func (m *Machine) CoarseReady(dt float64) bool {
 	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
-	if m.tel != nil || m.sampler != nil {
+	if m.tel != nil {
 		return false
 	}
 	if c.empty {
@@ -269,7 +271,7 @@ func (m *Machine) SkipQuiescent(dt float64, k int) bool {
 	if !FastForward() || !c.valid || c.dt != dt || c.n != len(m.tasks) {
 		return false
 	}
-	if m.tel != nil || m.sampler != nil {
+	if m.tel != nil {
 		return false
 	}
 	kk := float64(k)
@@ -369,7 +371,7 @@ func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
 	if !rc.ok || m.now != 0 || m.ffSteps != 0 || m.energyJ != 0 {
 		return false
 	}
-	if len(m.tasks) != rc.n || m.tel != nil || m.sampler != nil {
+	if len(m.tasks) != rc.n || m.tel != nil {
 		return false
 	}
 	c := &m.ff
@@ -394,8 +396,6 @@ func (m *Machine) AdoptCapture(rc ReplayCapture) bool {
 		}
 		c.quiesce = append(c.quiesce, q)
 	}
-	c.sample = Sample{}
-	c.hasSample = false
 	c.sol = power.Solution{}
 	c.cosGrants = nil
 	m.lastWatts = rc.watts

@@ -278,31 +278,48 @@ func TestRemoveTask(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
+// TestTaskMeanGHz pins the frequency an AVX-heavy region is granted:
+// the AVX license, 3.1 GHz, on every step.
+func TestTaskMeanGHz(t *testing.T) {
 	m := newTestMachine()
 	a := &constApp{name: "a", class: power.AVXHeavy, util: 0.6}
 	id, _ := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 31, SMTSlot: 0})
-	var samples int
-	var lastFreq float64
-	m.OnSample(func(s Sample) {
-		samples++
-		for _, tf := range s.Tasks {
-			if tf.ID == id {
-				lastFreq = tf.GHz
-			}
-		}
-		if s.PackageWatts <= 0 {
-			t.Error("sample without power")
-		}
-	})
 	for i := 0; i < 10; i++ {
 		m.Step(1e-3)
+		if m.LastWatts() <= 0 {
+			t.Fatal("step without power")
+		}
 	}
-	if samples != 10 {
-		t.Fatalf("got %d samples, want 10", samples)
+	st, _ := m.Stats(id)
+	if got := st.MeanGHz(); math.Abs(got-3.1) > 1e-9 {
+		t.Fatalf("AVX region frequency = %v, want 3.1", got)
 	}
-	if lastFreq != 3.1 {
-		t.Fatalf("AVX region frequency = %v, want 3.1", lastFreq)
+}
+
+// TestCycleRatios pins the Table II ratios TaskStats derives: the AMX
+// and AVX busy fractions and the AMX share of floating-point work.
+func TestCycleRatios(t *testing.T) {
+	m := newTestMachine()
+	a := &fixedApp{u: Usage{Util: 0.6, AMXBusy: 0.1, AVXBusy: 0.4, Flops: 1e6, AMXFlops: 4e5}}
+	id, err := m.AddTask(a, Placement{CoreLo: 0, CoreHi: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		m.Step(1e-3)
+	}
+	st, _ := m.Stats(id)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"AMX cycle ratio", st.AMXCycleRatio(), 0.1},
+		{"AVX cycle ratio", st.AVXCycleRatio(), 0.4},
+		{"FP AMX ratio", st.FPAMXRatio(), 0.4},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -119,3 +119,9 @@ func (c CDF) Quantile(q float64) float64 {
 
 // Len returns the sample count.
 func (c CDF) Len() int { return len(c.sorted) }
+
+// Percentile returns the p-th percentile (0..100) of the values,
+// interpolated like CDF.Quantile. The caller's slice is not modified.
+func Percentile(values []float64, p float64) float64 {
+	return NewCDF(values).Quantile(p / 100)
+}

@@ -103,3 +103,20 @@ func TestCDFProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPercentile(t *testing.T) {
+	vals := []float64{4, 1, 3, 2}
+	if Percentile(vals, 0) != 1 || Percentile(vals, 100) != 4 {
+		t.Fatal("extremes")
+	}
+	if got := Percentile(vals, 50); math.Abs(got-2.5) > 1e-9 {
+		t.Fatalf("p50 = %v", got)
+	}
+	if Percentile(nil, 50) != 0 {
+		t.Fatal("empty")
+	}
+	// Input must not be mutated.
+	if vals[0] != 4 {
+		t.Fatal("percentile sorted the caller's slice")
+	}
+}

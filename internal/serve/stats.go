@@ -1,6 +1,6 @@
 package serve
 
-import "aum/internal/perfmon"
+import "aum/internal/metrics"
 
 // maxRecent bounds the sliding windows used for tail estimation.
 const maxRecent = 2048
@@ -122,12 +122,12 @@ func (s *Stats) MeanTPOT() float64 {
 
 // TailTPOT returns the p-th percentile of recent token latencies.
 func (s *Stats) TailTPOT(p float64) float64 {
-	return perfmon.Percentile(s.recentTPOT, p)
+	return metrics.Percentile(s.recentTPOT, p)
 }
 
 // TailTTFT returns the p-th percentile of recent TTFTs.
 func (s *Stats) TailTTFT(p float64) float64 {
-	return perfmon.Percentile(s.recentTTFT, p)
+	return metrics.Percentile(s.recentTTFT, p)
 }
 
 // RecentTTFTs returns the sliding TTFT window (at most maxRecent

@@ -38,7 +38,6 @@ type Worker struct {
 	// Telemetry for controllers and the profiler.
 	lastCost  llm.IterationCost
 	busyTime  float64
-	idleTime  float64
 	completed int
 
 	// lastSteady records whether the last Step was a single clean
@@ -134,15 +133,6 @@ func (w *Worker) Phase() llm.Phase { return w.phase }
 // Completed returns the number of iterations finished so far.
 func (w *Worker) Completed() int { return w.completed }
 
-// Utilization returns the busy fraction since the worker started.
-func (w *Worker) Utilization() float64 {
-	t := w.busyTime + w.idleTime
-	if t <= 0 {
-		return 0
-	}
-	return w.busyTime / t
-}
-
 // CurrentPlan returns the plan being executed, if any.
 func (w *Worker) CurrentPlan() (llm.IterationPlan, bool) {
 	if w.current == nil {
@@ -234,7 +224,6 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 		j := w.ensureJob(now + (dt - left))
 		if j == nil {
 			steady = iter == 1
-			w.idleTime += left
 			u.Util += spinUtil * left
 			break
 		}
@@ -378,8 +367,8 @@ func (w *Worker) CanQuiesceN(dt float64, k int) bool {
 		return true
 	}
 	// Never-worked starved: a worker that has done no productive work
-	// (lastSteady unset, zero busy time — idle time may have accrued
-	// through earlier AdvanceQuiescedN spans) spins identically from
+	// (lastSteady unset, zero busy time, possibly after earlier
+	// AdvanceQuiescedN spans) spins identically from
 	// its next step when its feed is empty — the shape archetype
 	// capture adoption (machine.AdoptCapture) relies on.
 	if !w.lastSteady && w.busyTime == 0 {
@@ -391,13 +380,9 @@ func (w *Worker) CanQuiesceN(dt float64, k int) bool {
 	return false
 }
 
-// AdvanceQuiescedN implements machine.BulkQuiescer: k starved steps in
-// one multiply. The k*dt product differs from k iterated additions
-// only in floating-point rounding; this path belongs to the cluster's
-// approximate archetype mode, never the byte-identical one.
-func (w *Worker) AdvanceQuiescedN(dt float64, k int) {
-	w.idleTime += float64(k) * dt
-}
+// AdvanceQuiescedN implements machine.BulkQuiescer. CanQuiesceN admits
+// only starved steps, and a starved step changes no worker state.
+func (w *Worker) AdvanceQuiescedN(dt float64, k int) {}
 
 // AdvanceQuiesced implements machine.Quiescer: the exact state
 // mutation Step would apply on the quiescent path, with the same
@@ -405,8 +390,7 @@ func (w *Worker) AdvanceQuiescedN(dt float64, k int) {
 func (w *Worker) AdvanceQuiesced(dt float64) {
 	j := w.current
 	if j == nil {
-		w.idleTime += dt
-		return
+		return // starved: spinning changes no worker state
 	}
 	ts := w.lastCost.TotalS
 	if ts <= 0 {
