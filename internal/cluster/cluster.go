@@ -147,16 +147,6 @@ type Config struct {
 	// Progress, when set, is called after every barrier with the fleet
 	// time — the hook cmd/aumd's -fleet status line uses.
 	Progress func(now float64)
-	// EventDriven replaces the fixed-cadence barrier loop with the
-	// event-queue core (DESIGN.md §14): barriers at which no event
-	// source — arrivals, QPS points, fault timers, autoscaler
-	// watermarks, warm-up completions, KV deliveries — can fire and no
-	// machine is mid-request are elided, and machine state is caught up
-	// lazily by replaying exactly the per-barrier steps the legacy loop
-	// would have run. Results are byte-identical to the barrier loop at
-	// every worker width with fast-forward on or off; only wall-clock
-	// changes. Elisions are counted in aum_cluster_barriers_elided_total.
-	EventDriven bool
 	// Archetypes enables archetype memoization on top of the event
 	// core: quiescent machines advance in O(1) closed form from an
 	// interned per-class step capture (machine.ReplayCapture), adopted
@@ -167,8 +157,7 @@ type Config struct {
 	// configurations whose idle dynamics are provably self-repeating:
 	// all-mixed roles, round-robin routing, interval-free managers, and
 	// no faults, autoscaler, co-runner, live source, or request tracing.
-	// Implies EventDriven. Hits are counted in
-	// aum_cluster_archetype_hits_total.
+	// Hits are counted in aum_cluster_archetype_hits_total.
 	Archetypes bool
 }
 
@@ -241,12 +230,8 @@ func WithTelemetry(reg *telemetry.Registry) Option { return func(c *Config) { c.
 // WithProgress registers a per-barrier callback.
 func WithProgress(fn func(now float64)) Option { return func(c *Config) { c.Progress = fn } }
 
-// WithEventDriven enables the event-queue core: quiescent barriers are
-// elided and caught up lazily, byte-identical to the barrier loop.
-func WithEventDriven() Option { return func(c *Config) { c.EventDriven = true } }
-
-// WithArchetypes enables archetype memoization (implies WithEventDriven):
-// the approximate O(1) idle-advance mode for very large fleets.
+// WithArchetypes enables archetype memoization on top of the event
+// core: the approximate O(1) idle-advance mode for very large fleets.
 func WithArchetypes() Option { return func(c *Config) { c.Archetypes = true } }
 
 // New validates a fleet assembled from options and returns it ready to
@@ -458,7 +443,6 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	if c.Archetypes {
-		c.EventDriven = true
 		// The archetype safety predicate (DESIGN.md §14) only holds for
 		// configurations whose idle machines are provably self-repeating
 		// and whose node states never change mid-run.
@@ -568,6 +552,25 @@ type node struct {
 // undelivered reports KV transfers still in flight toward the node.
 func (n *node) undelivered() int { return len(n.pending) - n.handIdx }
 
+// accrue charges one barrier of state time to the node and reports
+// whether it was powered. Active and draining nodes serve (up time);
+// suspect and down nodes are off the power rail, and recovering ones
+// burn power while rebooting, but all three are outage time for
+// availability. Standby and dead nodes accrue no powered time.
+func (n *node) accrue(barrierS float64) (powered bool) {
+	switch n.state {
+	case stateActive, stateDraining:
+		n.upS += barrierS
+	case stateSuspect, stateDown, stateRecovering:
+		n.downtimeS += barrierS
+	}
+	if n.state == stateStandby || n.dead() {
+		return false
+	}
+	n.activeS += barrierS
+	return true
+}
+
 func (n *node) maybeSnapshot(warmupS, now float64) {
 	if n.measured || now < warmupS {
 		return
@@ -652,7 +655,7 @@ type NodeResult struct {
 
 // run executes the offline path: build the session, step it through
 // every barrier of the horizon, and close the accounting window at the
-// horizon — statement-for-statement the loop this function always ran.
+// horizon.
 func run(cfg Config) (Result, error) {
 	s, err := newSession(cfg)
 	if err != nil {

@@ -185,17 +185,6 @@ func newFaultEngine(cfg Config) (*faultEngine, error) {
 	}, nil
 }
 
-// nextEventAt is the fault engine's event-source bound (DESIGN.md §9).
-// Faults, health transitions, and retry dispatches are applied only at
-// tick barriers, so between barriers the next fault event is the next
-// barrier itself — the min in the epoch-end computation keeps the
-// contract explicit, exactly like the autoscaler's. The injector's own
-// NextEventAt is the sub-schedule horizon: when it is later than the
-// next barrier, this barrier fires nothing.
-func (fe *faultEngine) nextEventAt(nextBarrier float64) float64 {
-	return nextBarrier
-}
-
 func (fe *faultEngine) event(now float64, n *node, state string) {
 	fe.events = append(fe.events, HealthEvent{At: now, Machine: n.name, State: state})
 	fe.reg.Emit(now, "cluster", "node-health",

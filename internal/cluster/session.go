@@ -1,12 +1,13 @@
 // Fleet session: the barrier loop of run(), factored into an object
-// that can be driven one barrier at a time. The offline path (run)
-// executes exactly the same statements in the same order as before the
-// factoring — a session is a cursor over the loop, not a new engine —
-// so fleet results stay byte-identical at every worker width with
-// fast-forward on or off. The open-ended path (Session) exists for the
-// serving gateway: it steps the same loop against a live arrival
-// source with no horizon bound, calling Finish only when the daemon
-// shuts down.
+// that can be driven one barrier at a time. Every exact run goes
+// through the event core (eventloop.go): a barrier no event source can
+// fire during is elided and replayed later, and every other barrier
+// runs the full body in step(). Either way each node sees the same
+// per-barrier calls in the same order, so fleet results are
+// byte-identical at every worker width with fast-forward on or off.
+// The open-ended path (Session) exists for the serving gateway: it
+// steps the same loop against a live arrival source with no horizon
+// bound, calling Finish only when the daemon shuts down.
 package cluster
 
 import (
@@ -59,7 +60,7 @@ type session struct {
 	routable []int
 	bi       int // barriers completed so far
 
-	ev   *eventState // event-queue core (Config.EventDriven)
+	ev   *eventState // exact event core (nil in archetype mode)
 	arch *archState  // archetype memoization (Config.Archetypes)
 }
 
@@ -179,49 +180,33 @@ func newSession(cfg Config) (*session, error) {
 		}
 		s.fe.rt = rt
 	}
-	switch {
-	case cfg.Archetypes:
+	if cfg.Archetypes {
 		s.arch = newArchState(s)
-	case cfg.EventDriven:
+	} else {
 		s.ev = newEventState(cfg.Telemetry)
 	}
 	return s, nil
 }
 
-// advance steps one barrier with whichever loop body the config
-// selected: archetype memoization, the event-queue core, or the
-// legacy fixed-cadence body.
+// advance steps one barrier: archetype memoization when the config
+// asks for it, the exact event core otherwise.
 func (s *session) advance() error {
-	switch {
-	case s.arch != nil:
+	if s.arch != nil {
 		return s.stepArch()
-	case s.ev != nil:
-		return s.stepEvent()
 	}
-	return s.step()
+	return s.stepEvent()
 }
 
 // now is the simulated time of the next barrier's start.
 func (s *session) now() float64 { return float64(s.bi) * s.cfg.BarrierS }
 
-// step advances the fleet one barrier interval: the exact loop body
-// run() has always executed, ending with the single-threaded merge and
-// telemetry publish.
+// step advances the fleet one barrier interval: the full barrier body
+// the event core runs for every barrier it does not elide, ending with
+// the single-threaded merge and telemetry publish.
 func (s *session) step() error {
 	cfg, nodes, rt, fe := s.cfg, s.nodes, s.rt, s.fe
 	start := float64(s.bi) * cfg.BarrierS
 	end := float64(s.bi+1) * cfg.BarrierS
-	if s.scaler != nil {
-		// By construction the autoscaler's next event is the next
-		// barrier, so this min never shortens the epoch; it keeps
-		// the event-source contract (DESIGN.md §9) explicit.
-		end = math.Min(end, s.scaler.nextEventAt(end))
-	}
-	if fe != nil {
-		// Same contract: faults quantize to barriers, so the fault
-		// engine's next event is the next barrier too.
-		end = math.Min(end, fe.nextEventAt(end))
-	}
 
 	for s.qpsIdx < len(cfg.QPS) && cfg.QPS[s.qpsIdx].At <= start+1e-9 {
 		s.rate = cfg.QPS[s.qpsIdx].RatePerS
@@ -372,24 +357,12 @@ func (s *session) step() error {
 	upSum, downSum := 0.0, 0.0
 	for _, n := range nodes {
 		n.gState.Set(float64(n.state))
-		switch n.state {
-		case stateActive:
+		if n.state == stateActive {
 			active++
-			n.upS += cfg.BarrierS
-		case stateDraining:
-			n.upS += cfg.BarrierS
-		case stateSuspect, stateDown:
-			// Off the power rail: an outage second, no powered time.
-			n.downtimeS += cfg.BarrierS
-		case stateRecovering:
-			// Rebooting: burns power (counted below) but is still an
-			// outage second for availability.
-			n.downtimeS += cfg.BarrierS
 		}
-		if n.state != stateStandby && !n.dead() {
+		if n.accrue(cfg.BarrierS) {
 			powered++
 			capacity += n.capacity
-			n.activeS += cfg.BarrierS
 		}
 		upSum += n.upS
 		downSum += n.downtimeS
@@ -406,29 +379,32 @@ func (s *session) step() error {
 		avail = upSum / (upSum + downSum)
 	}
 	s.gAvail.Set(avail)
-	rt.Publish()
-	if cfg.Progress != nil {
-		cfg.Progress(end)
+	s.closeBarrier()
+	return nil
+}
+
+// closeBarrier ends the current barrier, executed or elided: publish
+// the tracer, report progress at the barrier's end, and move on.
+func (s *session) closeBarrier() {
+	s.rt.Publish()
+	if s.cfg.Progress != nil {
+		s.cfg.Progress(float64(s.bi+1) * s.cfg.BarrierS)
 	}
 	s.bi++
-	return nil
 }
 
 // finishAt runs the accounting tail over the measurement window
 // [WarmupS, endS]: per-node post-warmup deltas, summed.
 func (s *session) finishAt(endS float64) (Result, error) {
 	cfg, nodes := s.cfg, s.nodes
-	// Settle any work the event-driven modes deferred: elided spans
-	// replay exactly; archetype spans advance coarsely.
-	switch {
-	case s.arch != nil:
-		if err := s.archFinish(); err != nil {
-			return Result{}, err
-		}
-	case s.ev != nil:
-		if err := s.catchUp(); err != nil {
-			return Result{}, err
-		}
+	// Settle the work elision deferred: the event core replays its
+	// span exactly; archetype spans advance coarsely.
+	settle := s.catchUp
+	if s.arch != nil {
+		settle = s.archFinish
+	}
+	if err := settle(); err != nil {
+		return Result{}, err
 	}
 	s.rt.Publish()
 	if cfg.ReqTrace != nil {
@@ -543,13 +519,13 @@ func (s *Session) Config() Config { return s.s.cfg }
 func (s *Session) Now() float64 { return s.s.now() }
 
 // Step advances the fleet exactly one barrier interval, through the
-// config-selected loop body (legacy, event-driven, or archetype).
+// event core (or archetype memoization when the config enables it).
 func (s *Session) Step() error { return s.s.advance() }
 
 // StepUntil advances barriers until the simulated clock reaches at
-// least t. With EventDriven set, inert barriers inside the span are
-// elided, so catching a long-idle session up to "now" costs far less
-// than stepping each barrier's fleet scan.
+// least t. Inert barriers inside the span are elided, so catching a
+// long-idle session up to "now" costs far less than stepping each
+// barrier's fleet scan.
 func (s *Session) StepUntil(t float64) error {
 	for s.s.now() < t-1e-9 {
 		if err := s.s.advance(); err != nil {
@@ -565,12 +541,12 @@ func (s *Session) StepUntil(t float64) error {
 // has anything scheduled (a fully idle session with a live source is
 // woken by its next Submit), otherwise the start of the earliest
 // barrier that observes a scheduled event. The bound may be early —
-// the core re-checks at every barrier — never late. Without
-// EventDriven it degenerates to Now().
+// the core re-checks at every barrier — never late. In archetype mode
+// it degenerates to Now().
 func (s *Session) NextEventAt() float64 { return s.s.nextBusyBarrierAt() }
 
 func (s *session) nextBusyBarrierAt() float64 {
-	if s.ev == nil {
+	if s.arch != nil {
 		return s.now()
 	}
 	if !s.ev.scanned {

@@ -444,10 +444,6 @@ func Run(cfg Config) (Result, error) {
 	// ffOn gates the skip-horizon computation; it is hoisted because the
 	// toggle is process-global and never changes mid-run in practice.
 	ffOn := machine.FastForward()
-	// Managers that export their decision cadence (core.AUM) tighten
-	// the skip horizon through the shared event-source contract; for
-	// the rest, the loop's own nextTick bound below is authoritative.
-	mgrEv, _ := cfg.Manager.(interface{ NextEventAt(float64) float64 })
 	for m.Now() < cfg.HorizonS {
 		now := m.Now()
 		for _, r := range src.Emit(now, cfg.DT) {
@@ -522,11 +518,6 @@ func Run(cfg Config) (Result, error) {
 			}
 			if interval > 0 && nextTick < stop {
 				stop = nextTick
-			}
-			if mgrEv != nil {
-				if t := mgrEv.NextEventAt(now); t < stop {
-					stop = t
-				}
 			}
 			if !measured && cfg.WarmupS < stop {
 				stop = cfg.WarmupS

@@ -10,9 +10,13 @@
 // the simulated TTFT/TPOT, and serve.Admission sheds map onto HTTP 429
 // with Retry-After.
 //
-// The offline paths are untouched: the gateway drives the same barrier
-// loop Run does, with the synthetic generator swapped for the live
+// The offline paths are untouched: the gateway drives the same event
+// core Run does, with the synthetic generator swapped for the live
 // source — pacing wraps the simulation, it never reaches inside it.
+// Barriers with no pending arrival, retry, or autoscaler event are
+// elided, so an idle gateway costs pulses instead of fleet scans and
+// the driver can sleep until the next interaction event rather than
+// waking every barrier interval.
 package gateway
 
 import (
@@ -214,12 +218,6 @@ func NewFromConfig(cfg Config) (*Gateway, error) {
 	fc := cfg.Fleet
 	fc.Source = g.src
 	fc.ReqTrace = g.rt
-	// The live session runs on the event-queue core: barriers with no
-	// pending arrival, retry, or autoscaler event are elided, so an
-	// idle gateway costs pulses instead of fleet scans and the driver
-	// can sleep until the next interaction event rather than waking
-	// every barrier interval.
-	fc.EventDriven = true
 	sess, err := cluster.NewSession(fc)
 	if err != nil {
 		return nil, err
@@ -270,7 +268,7 @@ func (g *Gateway) Stop() (cluster.Result, error) {
 // next scheduled event while the fleet is coasting, and indefinitely
 // (+Inf) when nothing is scheduled — in which case only a Submit
 // nudge or Stop wakes it. On wake it catches the session up to the
-// warped clock with StepUntil; the EventDriven core turns the inert
+// warped clock with StepUntil; the fleet's event core turns the inert
 // barriers in between into cheap pulses, so a long-idle session
 // catches up in microseconds instead of running every barrier's fleet
 // scan. Token release order is unchanged: releases are paced by the

@@ -36,9 +36,8 @@ type Worker struct {
 	current *job
 
 	// Telemetry for controllers and the profiler.
-	lastCost  llm.IterationCost
-	busyTime  float64
-	completed int
+	lastCost llm.IterationCost
+	busyTime float64
 
 	// lastSteady records whether the last Step was a single clean
 	// iteration slice (one loop pass, no job boundary) — the only shape
@@ -129,17 +128,6 @@ func (w *Worker) Name() string {
 
 // Phase returns the worker's serving phase.
 func (w *Worker) Phase() llm.Phase { return w.phase }
-
-// Completed returns the number of iterations finished so far.
-func (w *Worker) Completed() int { return w.completed }
-
-// CurrentPlan returns the plan being executed, if any.
-func (w *Worker) CurrentPlan() (llm.IterationPlan, bool) {
-	if w.current == nil {
-		return llm.IterationPlan{}, false
-	}
-	return w.current.plan, true
-}
 
 // abort drops the in-flight job without completing it — the host
 // machine crashed mid-iteration. lastSteady is cleared so a stale
@@ -265,7 +253,6 @@ func (w *Worker) Step(env machine.Env, now, dt float64) machine.Usage {
 				w.eng.onDecodeDone(j, done)
 			}
 			u.Work += float64(j.plan.Tokens)
-			w.completed++
 			w.current = nil
 		} else {
 			steady = iter == 1 && j == entered
